@@ -106,6 +106,8 @@ let connected t =
   Framer.reset t.framer;
   dispatch t Fsm.Tcp_connected
 
+let refuse t e = dispatch t (Fsm.Protocol_error e)
+
 let failed t = dispatch t Fsm.Tcp_failed
 
 let closed t =
@@ -129,6 +131,13 @@ let feed t bytes =
       | Framer.Error e -> dispatch t (Fsm.Protocol_error e))
   in
   drain ()
+
+let of_link cfg timers (link : Bgp_engine.Link.t) hooks =
+  let t = create cfg timers (io_of_link ~active:(not cfg.Fsm.passive) link) hooks in
+  link.set_receiver (feed t);
+  link.set_on_connected (fun () -> connected t);
+  link.set_on_closed (fun () -> closed t);
+  t
 
 let send t msg =
   match Fsm.state t.fsm with

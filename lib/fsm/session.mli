@@ -50,6 +50,12 @@ val create : Fsm.config -> timer_service -> io -> hooks -> t
 val state : t -> Fsm.state
 val fsm : t -> Fsm.t
 
+val of_link : Fsm.config -> timer_service -> Bgp_engine.Link.t -> hooks -> t
+(** A session over a transport endpoint: I/O through {!io_of_link}
+    (active unless [config.passive]), and the link's received bytes,
+    connected and closed notifications wired to {!feed}, {!connected}
+    and {!closed}.  The session is not started. *)
+
 val set_transition_observer : t -> (Fsm.state -> Fsm.state -> unit) -> unit
 (** Install an observer called as [(before, after)] whenever dispatching
     an event changes the FSM state (before the resulting actions are
@@ -62,6 +68,11 @@ val start : t -> unit
 
 val stop : t -> unit
 (** Administrative down (sends CEASE when appropriate). *)
+
+val refuse : t -> Bgp_wire.Msg.error -> unit
+(** Reject the peer: send a NOTIFICATION carrying the error and drop to
+    Idle, as for a malformed message.  For checks the FSM cannot make
+    itself, such as an OPEN naming another neighbor than expected. *)
 
 val connected : t -> unit
 (** Transport reports the connection opened (either direction). *)

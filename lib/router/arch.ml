@@ -150,6 +150,13 @@ let cisco3620 =
 
 let all = [ pentium3; xeon; ixp2400; cisco3620 ]
 
+let zero_cost =
+  { xeon with
+    name = "zero-cost";
+    description = "Xeon structure at a 1e15 Hz clock: modelled work takes no time";
+    clock_hz = 1e15;
+    rtrmgr_period = 0.0 }
+
 (* ------------------------------------------------------------------ *)
 (* Declarative stage tables                                            *)
 (* ------------------------------------------------------------------ *)

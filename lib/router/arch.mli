@@ -97,6 +97,13 @@ val cisco3620 : t
 val all : t list
 (** The four systems, in Table II order. *)
 
+val zero_cost : t
+(** Not a benchmarked system: {!xeon}'s structure with a 1e15 Hz clock
+    and no housekeeper, so every modelled job completes at once and a
+    router on a live clock runs as fast as the OCaml code does.  What
+    [bgpd] and the loopback daemon tests run; absent from {!all} and
+    {!by_name}. *)
+
 val by_name : string -> t option
 (** Case-insensitive lookup of ["pentium3"], ["xeon"], ["ixp2400"],
     ["cisco3620"]. *)

@@ -13,8 +13,10 @@ module Metrics = Bgp_stats.Metrics
 module Interned = Bgp_route.Attrs.Interned
 
 type peer_link = {
-  peer : Peer.t;
+  mutable peer : Peer.t option;
+      (* [None] until an anonymous neighbor's first OPEN names it *)
   mutable session : Session.t option;  (* set right after creation *)
+  mutable restart : Clock.handle option;  (* pending [restart_delay] rearm *)
   mutable last_rx_size : int;
   max_prefixes : int option;  (* per-peer prefix-limit protection *)
   (* MRAI (RFC 4271 section 9.2.1.1): advertisements pending the
@@ -99,8 +101,8 @@ let start_rtrmgr clock sched arch proc =
     ignore (Clock.schedule clock ~delay:arch.Arch.rtrmgr_period tick)
   end
 
-let create ?import ?export ?mrai ?damping ?metrics ?tracer ?trace_process clock
-    arch ~local_asn ~router_id =
+let create ?import ?export ?aggregates ?mrai ?damping ?metrics ?tracer
+    ?trace_process clock arch ~local_asn ~router_id =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let trace_process =
     match trace_process with Some p -> p | None -> arch.Arch.name
@@ -150,7 +152,9 @@ let create ?import ?export ?mrai ?damping ?metrics ?tracer ?trace_process clock
   in
   let fwd = make_forwarding arch sched in
   { clock; arch; sched;
-    rib = Rib_manager.create ?import ?export ~metrics ~local_asn ~router_id ();
+    rib =
+      Rib_manager.create ?import ?export ?aggregates ~metrics ~local_asn
+        ~router_id ();
     fib = Fib.create (); fwd; pipeline;
     tx_proc = stage_proc (Arch.tx_proc_name arch);
     fib_proc = stage_proc (Arch.fib_proc_name arch);
@@ -272,6 +276,18 @@ let link_session l =
   | Some s -> s
   | None -> invalid_arg "Router: session not initialized"
 
+let established l =
+  match l.session with
+  | Some s -> Session.state s = Bgp_fsm.Fsm.Established
+  | None -> false
+
+(* Updates, refreshes and MRAI flushes only happen once a session has
+   been Established, by which time every neighbor has an identity. *)
+let link_peer l =
+  match l.peer with
+  | Some p -> p
+  | None -> invalid_arg "Router: neighbor identity not learned yet"
+
 (* Send a message to a peer, charging [proc] for the send path. *)
 let transmit t proc peer msg =
   let c = cost t in
@@ -311,7 +327,7 @@ let rec mrai_flush t lnk =
              Msg.announcement_interned interned prefixes))
   in
   if msgs <> [] then begin
-    List.iter (fun msg -> transmit t t.tx_proc lnk.peer msg) msgs;
+    List.iter (fun msg -> transmit t t.tx_proc (link_peer lnk) msg) msgs;
     true
   end
   else false
@@ -328,21 +344,19 @@ and mrai_arm t lnk interval =
            end
            else lnk.mrai_armed <- false))
 
+(* XORP emits one UPDATE per announcement as decisions are made. *)
+let msg_of_announcement (a : Rib_manager.announcement) =
+  match a.Rib_manager.ann_attrs with
+  | Some interned -> Msg.announcement_interned interned [ a.Rib_manager.ann_prefix ]
+  | None -> Msg.withdrawal [ a.Rib_manager.ann_prefix ]
+
 (* Route one decision's advertisement toward a peer, immediately or
    through the MRAI buffer.  [w] is the owning batch's work profile;
    advertisements actually held back by an armed timer are counted
    there. *)
 let emit_announcement t (w : Pipeline.work) (a : Rib_manager.announcement) =
   match t.mrai with
-  | None ->
-    (* XORP-style: one UPDATE per announcement as decisions are made. *)
-    let msg =
-      match a.Rib_manager.ann_attrs with
-      | Some interned ->
-        Msg.announcement_interned interned [ a.Rib_manager.ann_prefix ]
-      | None -> Msg.withdrawal [ a.Rib_manager.ann_prefix ]
-    in
-    transmit t t.tx_proc a.Rib_manager.dest msg
+  | None -> transmit t t.tx_proc a.Rib_manager.dest (msg_of_announcement a)
   | Some interval ->
     let lnk = link t a.Rib_manager.dest in
     if lnk.mrai_armed then
@@ -353,17 +367,6 @@ let emit_announcement t (w : Pipeline.work) (a : Rib_manager.announcement) =
       ignore (mrai_flush t lnk);
       mrai_arm t lnk interval
     end
-
-(* XORP emits one UPDATE per announcement as decisions are made. *)
-let announcement_msgs anns =
-  List.map
-    (fun (a : Rib_manager.announcement) ->
-      ( a.Rib_manager.dest,
-        match a.Rib_manager.ann_attrs with
-        | Some interned ->
-          Msg.announcement_interned interned [ a.Rib_manager.ann_prefix ]
-        | None -> Msg.withdrawal [ a.Rib_manager.ann_prefix ] ))
-    anns
 
 (* Pack a full-table export (Phase 2) into large UPDATEs: consecutive
    announcements sharing an attribute handle ride in one message (the
@@ -409,6 +412,22 @@ let note_transactions t n =
   t.last_transaction_at <- Some (Clock.now t.clock);
   t.inflight <- t.inflight - 1
 
+(* Commit [deltas] to the FIB and send [anns] as one job on the FIB
+   process, off the update pipeline, then run [k]. *)
+let commit_off_pipeline t deltas anns k =
+  let c = cost t in
+  let cycles =
+    c.Arch.cyc_per_fib_msg +. delta_cycles c deltas
+    +. (float_of_int (List.length anns) *. c.Arch.cyc_per_announcement)
+  in
+  Sched.submit t.sched t.fib_proc ~cycles (fun () ->
+      ignore (Fib.apply_all t.fib deltas);
+      List.iter
+        (fun (a : Rib_manager.announcement) ->
+          transmit t t.fib_proc a.Rib_manager.dest (msg_of_announcement a))
+        anns;
+      k ())
+
 (* Originate (or withdraw) a prefix locally — also the re-injection
    path for damping reuse.  The FIB commit and the resulting
    advertisements ride the FIB process, like a peer-loss repair:
@@ -420,19 +439,8 @@ let local_change t ~prefix outcome =
   if t.first_work_at = None then t.first_work_at <- Some now;
   if outcome.Rib_manager.loc_changed then t.route_observer prefix;
   t.inflight <- t.inflight + 1;
-  let c = cost t in
-  let deltas = outcome.Rib_manager.fib_deltas in
-  let anns = outcome.Rib_manager.announcements in
-  let cycles =
-    c.Arch.cyc_per_fib_msg +. delta_cycles c deltas
-    +. (float_of_int (List.length anns) *. c.Arch.cyc_per_announcement)
-  in
-  Sched.submit t.sched t.fib_proc ~cycles (fun () ->
-      ignore (Fib.apply_all t.fib deltas);
-      List.iter
-        (fun (dest, msg) -> transmit t t.fib_proc dest msg)
-        (announcement_msgs anns);
-      note_transactions t 1)
+  commit_off_pipeline t outcome.Rib_manager.fib_deltas
+    outcome.Rib_manager.announcements (fun () -> note_transactions t 1)
 
 (* Reuse timer: one timer per router, armed at the earliest instant any
    suppressed route's penalty decays to the reuse threshold.  Firing
@@ -466,15 +474,9 @@ and reuse_fire t d =
     (fun (peer, prefix, attrs) ->
       (* A peer that went away while the route sat suppressed keeps
          nothing: its withheld announcement must not resurrect. *)
-      let established =
-        match Hashtbl.find_opt t.peers peer.Peer.id with
-        | Some l -> (
-          match l.session with
-          | Some s -> Session.state s = Bgp_fsm.Fsm.Established
-          | None -> false)
-        | None -> false
-      in
-      if established then
+      if Option.fold ~none:false ~some:established
+           (Hashtbl.find_opt t.peers peer.Peer.id)
+      then
         local_change t ~prefix
           (Rib_manager.announce_interned t.rib ~from:peer prefix attrs))
     (Damping.take_reusable d ~now);
@@ -491,7 +493,7 @@ let over_prefix_limit t peer_link (u : Msg.update) =
        NLRI length: re-announced prefixes and duplicates within one
        NLRI don't grow the table, so a peer refreshing its existing
        routes at the limit must not be CEASEd. *)
-    Rib_manager.projected_adj_in_size t.rib peer_link.peer
+    Rib_manager.projected_adj_in_size t.rib (link_peer peer_link)
       ~announced:u.Msg.nlri ~withdrawn:u.Msg.withdrawn
     > limit
 
@@ -510,7 +512,7 @@ let over_prefix_limit t peer_link (u : Msg.update) =
      (immediately, or into the MRAI buffers);
    - the done hook books the transactions. *)
 let process_update t peer_link ~bytes (u : Msg.update) =
-  let from = peer_link.peer in
+  let from = link_peer peer_link in
   let announced = List.length u.Msg.nlri in
   let withdrawn = List.length u.Msg.withdrawn in
   let prefixes = announced + withdrawn in
@@ -597,95 +599,122 @@ let send_packed t peer_link anns =
 (* Phase 2: a peer reached Established; if we already hold routes, ship
    the full table. *)
 let on_established t peer_link =
-  Rib_manager.set_peer_up t.rib peer_link.peer true;
-  send_packed t peer_link (Rib_manager.export_full t.rib peer_link.peer)
+  let peer = link_peer peer_link in
+  Rib_manager.set_peer_up t.rib peer true;
+  send_packed t peer_link (Rib_manager.export_full t.rib peer)
 
 (* RFC 2918: the peer asked for a refresh. Only IPv4 unicast exists
    here; other AFI/SAFI pairs are ignored, as the RFC prescribes for
    unadvertised families. *)
 let on_refresh t peer_link ~afi ~safi =
   if afi = 1 && safi = 1 then
-    send_packed t peer_link (Rib_manager.refresh t.rib peer_link.peer)
+    send_packed t peer_link (Rib_manager.refresh t.rib (link_peer peer_link))
 
-let attach_peer ?max_prefixes ?restart_delay ?(active = false) ?import ?export
-    t ~peer ~(link : Link.t) =
-  if Hashtbl.mem t.peers peer.Peer.id then
-    invalid_arg (Printf.sprintf "Router.attach_peer: duplicate id %d" peer.Peer.id);
-  Rib_manager.add_peer ?import ?export ~up:false t.rib peer;
+(* Session loss invalidates everything the peer contributed; the repair
+   work flows outside the update pipeline, charged to the
+   architecture's FIB process like any other burst (paper: "a link is
+   down or another router failed"). *)
+let flush_peer t peer =
+  let o = Rib_manager.peer_down t.rib peer in
+  List.iter (fun d -> t.route_observer (Fib.delta_prefix d)) o.Rib_manager.fib_deltas;
+  (match t.damp with
+  | Some d ->
+    (* Session loss is a withdrawal flap for every route the peer's
+       loss took out of the FIB (RFC 2439 treats a session reset like a
+       withdrawal of its routes). *)
+    let now = Clock.now t.clock in
+    List.iter
+      (fun dl -> Damping.note_withdraw d ~now ~peer ~prefix:(Fib.delta_prefix dl))
+      o.Rib_manager.fib_deltas;
+    arm_reuse t
+  | None -> ());
+  match o.Rib_manager.fib_deltas, o.Rib_manager.announcements with
+  | [], [] -> ()
+  | deltas, anns ->
+    t.inflight <- t.inflight + 1;
+    commit_off_pipeline t deltas anns (fun () -> t.inflight <- t.inflight - 1)
+
+let on_down t lnk ~restart_delay =
+  (* Advertisements buffered for the dead session must die with it: the
+     next incarnation starts from export_full, and a stale armed timer
+     would otherwise flush the old buffer into the reborn session (or
+     leave mrai_armed stuck true, silently buffering forever with no
+     timer to drain it). *)
+  Option.iter Clock.cancel lnk.mrai_timer;
+  lnk.mrai_timer <- None;
+  Hashtbl.reset lnk.mrai_pending;
+  lnk.mrai_armed <- false;
+  (* A neighbor that never reached Established contributed nothing. *)
+  Option.iter (flush_peer t) lnk.peer;
+  (* Operator-style automatic recovery (off by default): rearm the
+     session so a flapping peer can reconnect. *)
+  Option.iter
+    (fun delay ->
+      lnk.restart <-
+        Some
+          (Clock.schedule t.clock ~delay (fun () ->
+               lnk.restart <- None;
+               match lnk.session with
+               | Some s when Session.state s = Bgp_fsm.Fsm.Idle -> Session.start s
+               | _ -> ())))
+    restart_delay
+
+(* An anonymous neighbor is registered with the RIB on its first
+   Established, under the id reserved at attach time and the AS and BGP
+   identifier of its OPEN.  Every OPEN must match the identity held
+   since: the RIB classifies, rewrites and loop-checks the neighbor's
+   routes by it, so a neighbor that comes back as another AS or router
+   is refused (RFC 4271 section 6.2) rather than run under a stale one. *)
+let check_identity lnk ~id ~register =
+  match lnk.peer, Bgp_fsm.Fsm.peer_open (Session.fsm (link_session lnk)) with
+  | _, None -> None
+  | None, Some o ->
+    let peer =
+      Peer.make ~id ~asn:o.Msg.opn_asn ~router_id:o.Msg.opn_bgp_id
+        ~addr:o.Msg.opn_bgp_id
+    in
+    register peer;
+    lnk.peer <- Some peer;
+    None
+  | Some p, Some o ->
+    if not (Bgp_route.Asn.equal p.Peer.asn o.Msg.opn_asn) then
+      Some (Msg.Open_message_error Msg.Bad_peer_as)
+    else if not (Bgp_addr.Ipv4.equal p.Peer.router_id o.Msg.opn_bgp_id) then
+      Some (Msg.Open_message_error Msg.Bad_bgp_identifier)
+    else None
+
+let attach_peer ?max_prefixes ?restart_delay ?(active = false) ?rr_client
+    ?import ?export ?peer t ~(link : Link.t) =
+  let id =
+    match peer with
+    | Some p -> p.Peer.id
+    | None -> 1 + Hashtbl.fold (fun id _ acc -> max id acc) t.peers (-1)
+  in
+  if Hashtbl.mem t.peers id then
+    invalid_arg (Printf.sprintf "Router.attach_peer: duplicate id %d" id);
+  let register p =
+    Rib_manager.add_peer ?import ?export ?rr_client ~up:false t.rib p
+  in
+  Option.iter register peer;
   let cfg =
     { (Bgp_fsm.Fsm.default_config ~asn:(Rib_manager.local_asn t.rib)
          ~router_id:(Rib_manager.router_id t.rib))
       with Bgp_fsm.Fsm.passive = not active }
   in
-  let io = Session.io_of_link ~active link in
   let lnk =
-    { peer; session = None; last_rx_size = 0; max_prefixes;
+    { peer; session = None; restart = None; last_rx_size = 0; max_prefixes;
       mrai_pending = Hashtbl.create 16; mrai_armed = false;
       mrai_timer = None }
   in
   let hooks =
     { Session.on_update = (fun u -> on_update t lnk u);
       on_refresh = (fun afi safi -> on_refresh t lnk ~afi ~safi);
-      on_established = (fun () -> on_established t lnk);
-      on_down =
-        (fun _reason ->
-          (* Advertisements buffered for the dead session must die with
-             it: the next incarnation starts from export_full, and a
-             stale armed timer would otherwise flush the old buffer
-             into the reborn session (or leave mrai_armed stuck true,
-             silently buffering forever with no timer to drain it). *)
-          Option.iter Clock.cancel lnk.mrai_timer;
-          lnk.mrai_timer <- None;
-          Hashtbl.reset lnk.mrai_pending;
-          lnk.mrai_armed <- false;
-          (* Session loss invalidates everything the peer contributed;
-             the repair work flows outside the update pipeline, charged
-             to the architecture's FIB process like any other burst
-             (paper: "a link is down or another router failed"). *)
-          let o = Rib_manager.peer_down t.rib lnk.peer in
-          List.iter
-            (fun d -> t.route_observer (Fib.delta_prefix d))
-            o.Rib_manager.fib_deltas;
-          (match t.damp with
-          | Some d ->
-            (* Session loss is a withdrawal flap for every route the
-               peer's loss took out of the FIB (RFC 2439 treats a
-               session reset like a withdrawal of its routes). *)
-            let now = Clock.now t.clock in
-            List.iter
-              (fun dl ->
-                Damping.note_withdraw d ~now ~peer:lnk.peer
-                  ~prefix:(Fib.delta_prefix dl))
-              o.Rib_manager.fib_deltas;
-            arm_reuse t
-          | None -> ());
-          (match o.Rib_manager.fib_deltas, o.Rib_manager.announcements with
-          | [], [] -> ()
-          | deltas, anns ->
-            t.inflight <- t.inflight + 1;
-            let c = cost t in
-            let cycles =
-              c.Arch.cyc_per_fib_msg +. delta_cycles c deltas
-              +. (float_of_int (List.length anns) *. c.Arch.cyc_per_announcement)
-            in
-            Sched.submit t.sched t.fib_proc ~cycles (fun () ->
-                ignore (Fib.apply_all t.fib deltas);
-                List.iter
-                  (fun (dest, msg) -> transmit t t.fib_proc dest msg)
-                  (announcement_msgs anns);
-                t.inflight <- t.inflight - 1));
-          (* Operator-style automatic recovery (off by default): rearm
-             the passive session so a flapping peer can reconnect.  The
-             adversarial fault scenarios turn this on. *)
-          Option.iter
-            (fun delay ->
-              ignore
-                (Clock.schedule t.clock ~delay (fun () ->
-                     match lnk.session with
-                     | Some s when Session.state s = Bgp_fsm.Fsm.Idle ->
-                       Session.start s
-                     | _ -> ())))
-            restart_delay);
+      on_established =
+        (fun () ->
+          match check_identity lnk ~id ~register with
+          | None -> on_established t lnk
+          | Some e -> Session.refuse (link_session lnk) e);
+      on_down = (fun _reason -> on_down t lnk ~restart_delay);
       on_tx_msg =
         (fun _ bytes ->
           Metrics.incr t.c_msgs_tx;
@@ -696,10 +725,10 @@ let attach_peer ?max_prefixes ?restart_delay ?(active = false) ?import ?export
           Metrics.incr ~by:bytes t.c_bytes_rx;
           lnk.last_rx_size <- bytes) }
   in
-  let session = Session.create cfg (Session.timer_service_of t.clock) io hooks in
+  let session = Session.of_link cfg (Session.timer_service_of t.clock) link hooks in
   (match t.tracer, t.fsm_track with
   | Some tr, Some tk ->
-    let peer_name = Printf.sprintf "peer-%d" peer.Peer.id in
+    let peer_name = Printf.sprintf "peer-%d" id in
     Session.set_transition_observer session (fun before after ->
         Bgp_trace.Tracer.fsm_transition tr tk ~ts:(Clock.now t.clock)
           ~peer:peer_name
@@ -707,18 +736,33 @@ let attach_peer ?max_prefixes ?restart_delay ?(active = false) ?import ?export
           ~to_state:(Bgp_fsm.Fsm.state_name after))
   | _ -> ());
   lnk.session <- Some session;
-  Hashtbl.replace t.peers peer.Peer.id lnk;
-  link.Link.set_receiver (fun bytes -> Session.feed session bytes);
-  link.Link.set_on_connected (fun () -> Session.connected session);
-  link.Link.set_on_closed (fun () -> Session.closed session);
+  Hashtbl.replace t.peers id lnk;
+  (* Replaces the plain [Session.connected] wiring of [of_link]: a
+     neighbor reconnecting inside the restart delay is what the restart
+     waits for, so rearm now, or the Idle session would ignore the
+     connection and leave it hanging. *)
+  link.Link.set_on_connected (fun () ->
+      Option.iter
+        (fun h ->
+          Clock.cancel h;
+          lnk.restart <- None;
+          Session.start session)
+        lnk.restart;
+      Session.connected session);
   Session.start session
+
+let established_peers t =
+  Hashtbl.fold (fun _ l n -> if established l then n + 1 else n) t.peers 0
 
 let session_state t peer = Session.state (link_session (link t peer))
 
-let originate t ~prefix =
+let originate ?attrs t ~prefix =
   local_change t ~prefix
-    (Rib_manager.inject_local t.rib ~prefix
-       ~next_hop:(Rib_manager.router_id t.rib))
+    (match attrs with
+    | None ->
+      Rib_manager.inject_local t.rib ~prefix
+        ~next_hop:(Rib_manager.router_id t.rib)
+    | Some attrs -> Rib_manager.inject_local_route t.rib ~prefix ~attrs)
 
 let withdraw_origin t ~prefix =
   local_change t ~prefix (Rib_manager.withdraw_local t.rib ~prefix)

@@ -26,6 +26,7 @@ type t
 val create :
   ?import:Bgp_policy.Policy.t ->
   ?export:Bgp_policy.Policy.t ->
+  ?aggregates:Bgp_rib.Rib_manager.aggregate_config list ->
   ?mrai:float ->
   ?damping:Bgp_rib.Damping.config ->
   ?metrics:Bgp_stats.Metrics.t ->
@@ -36,7 +37,10 @@ val create :
   local_asn:Bgp_route.Asn.t ->
   router_id:Bgp_addr.Ipv4.t ->
   t
-(** [mrai]: enable RFC 4271 section 9.2.1.1 MinRouteAdvertisementInterval
+(** [aggregates]: configured aggregates, passed to
+    {!Bgp_rib.Rib_manager.create} (none by default).
+
+    [mrai]: enable RFC 4271 section 9.2.1.1 MinRouteAdvertisementInterval
     batching of outbound advertisements (seconds between flushes per
     peer).  Off by default — XORP 1.3, as benchmarked by the paper,
     advertises per decision.
@@ -89,11 +93,20 @@ val stage_stats : t -> Bgp_pipeline.Pipeline.stage_stat list
 
 val attach_peer :
   ?max_prefixes:int -> ?restart_delay:float -> ?active:bool ->
+  ?rr_client:bool ->
   ?import:Bgp_policy.Policy.t -> ?export:Bgp_policy.Policy.t ->
-  t -> peer:Bgp_route.Peer.t -> link:Bgp_engine.Link.t -> unit
+  ?peer:Bgp_route.Peer.t ->
+  t -> link:Bgp_engine.Link.t -> unit
 (** Register a neighbor reachable over [link] — one endpoint of a
     simulated {!Bgp_netsim.Channel} or a live TCP connection, the
     router cannot tell — and start a session on it.
+    [peer] is the neighbor's identity.  Without it the router reserves
+    the next free id (one above the highest attached) and takes the AS
+    and BGP identifier from the neighbor's OPEN when the session is
+    first Established; until then the neighbor is in no RIB.  Once
+    known, the identity is checked on every Established: an OPEN naming
+    another AS or BGP identifier is refused with an OPEN-error
+    NOTIFICATION (Bad Peer AS / Bad BGP Identifier).
     @raise Invalid_argument if the peer's id is already attached
     (the id names the neighbor in every RIB; silently rebinding it
     would orphan the old session).
@@ -101,21 +114,29 @@ val attach_peer :
     pushing the peer's Adj-RIB-In beyond the limit tears the session
     down with a CEASE and flushes the peer's routes.
     [restart_delay] enables automatic recovery: whenever the session
-    drops to Idle it is restarted (passively, waiting for the peer to
-    reconnect) after that many clock seconds — required by the
-    adversarial flap scenarios, off by default.
+    drops to Idle it is restarted after that many clock seconds (a
+    passive one then waits for the peer to reconnect, an active one
+    dials again) — required by the adversarial flap scenarios and by a
+    daemon whose neighbors restart, off by default.  A connection that
+    arrives while the restart is pending restarts the session at once.
     [active] (default false) makes this side the connection opener —
     router-to-router links in a {!Bgp_topo} graph designate exactly one
     opener per edge; the benchmark router stays passive, as in the
     paper's setup.
+    [rr_client] (default false) marks the neighbor as a route-reflection
+    client ({!Bgp_rib.Rib_manager.add_peer}).
     [import]/[export] install per-peer policies (e.g. the Gao–Rexford
     relationship rules), overriding the router-wide defaults given to
     {!create}. *)
 
 val session_state : t -> Bgp_route.Peer.t -> Bgp_fsm.Fsm.state
 
-val originate : t -> prefix:Bgp_addr.Prefix.t -> unit
-(** Originate [prefix] locally (next-hop self).  The FIB commit and the
+val established_peers : t -> int
+(** Number of attached sessions currently Established. *)
+
+val originate : ?attrs:Bgp_route.Attrs.t -> t -> prefix:Bgp_addr.Prefix.t -> unit
+(** Originate [prefix] locally: next-hop self, or with [attrs] as given
+    (e.g. a route replayed from a saved table).  The FIB commit and the
     advertisements to every Established peer are charged to the FIB
     process, off the update pipeline; one transaction is booked when
     the commit completes. *)

@@ -109,6 +109,12 @@ and run t ~until ~timeout =
       run_posted t;
       run_due_timers t;
       if until () then true
+      else if t.posted <> [] then
+        (* A timer posted work: run it before sleeping on the
+           descriptors.  A transport's connected notification is such a
+           thunk, and it must reach the session before any byte read
+           from the new connection. *)
+        go ()
       else begin
         let fds_r = t.fds_r in
         let fds_w = t.fds_w in

@@ -1,14 +1,13 @@
 (** A real TCP connection as a pair of {!Bgp_engine.Link.t} endpoints.
 
-    The live counterpart of {!Bgp_netsim.Channel}: [pair] binds a
-    loopback listener and hands back two transport-neutral endpoints —
-    a connector (the benchmark speaker's side, whose [start_connect]
-    actually opens the socket) and a listener side (the router under
-    test, passive as in the paper's setup).  Both live on one
-    {!Event_loop}; reads, connection events, and tap-delayed deliveries
-    all flow through the loop, so callback context matches the
-    simulated channel (everything fires from the pump, never from
-    inside [send]).
+    The live counterpart of {!Bgp_netsim.Channel}, and the only socket
+    transport: {!listen} binds a loopback listener (the passive side —
+    the router under test in the paper's setup), {!connect} makes an
+    active opener whose [start_connect] dials it, and {!pair} is the
+    two joined.  Every endpoint lives on one {!Event_loop}; reads,
+    connection events, and tap-delayed deliveries all flow through the
+    loop, so callback context matches the simulated channel
+    (everything fires from the pump, never from inside [send]).
 
     Semantics mirrored from the simulated channel:
     - outbound taps see whole messages (one [send] = one tap consult)
@@ -21,6 +20,28 @@
       readiness), so a burst larger than the socket buffers cannot
       deadlock the single-threaded loop. *)
 
+type endpoint = {
+  link : Bgp_engine.Link.t;
+  port : int;
+      (** the bound port of a listener (the ephemeral one when asked
+          for port 0); the dialled port of a connector *)
+  dispose : unit -> unit;
+      (** close the endpoint's sockets, the listening one included,
+          without notifying the session; the endpoint is dead
+          afterwards *)
+}
+
+val listen : Event_loop.t -> port:int -> endpoint
+(** Bind a listener on 127.0.0.1:[port] ([0] picks an ephemeral port).
+    It accepts, and re-accepts after a teardown, one connection at a
+    time; a new connection replaces the current one.  Its
+    [start_connect] is a no-op.
+    @raise Unix.Unix_error if the port cannot be bound. *)
+
+val connect : Event_loop.t -> port:int -> endpoint
+(** An active opener toward 127.0.0.1:[port].  Nothing connects until
+    [link.start_connect]; a refused dial reports [closed]. *)
+
 type t = {
   connector : Bgp_engine.Link.t;
       (** active opener — [start_connect] dials the listener *)
@@ -32,5 +53,6 @@ type t = {
 }
 
 val pair : Event_loop.t -> t
-(** Bind an ephemeral loopback listener and return the endpoint pair.
-    Nothing connects until [connector.start_connect]. *)
+(** [listen ~port:0] plus a [connect] to it: the endpoint pair of one
+    loopback connection.  Nothing connects until
+    [connector.start_connect]. *)

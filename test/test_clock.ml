@@ -159,6 +159,16 @@ let test_post_reentrancy impl () =
       Alcotest.(check (list int)) "posts run in order" [ 1; 2; 3; 4 ]
         (List.rev !order))
 
+let test_post_from_timer impl () =
+  impl.with_clock (fun c ->
+      (* A thunk posted by a timer runs within the same pump window:
+         the pump must not sleep while posted work is pending. *)
+      let ran = ref false in
+      ignore
+        (Clock.schedule c ~delay:0.0 (fun () -> Clock.post c (fun () -> ran := true)));
+      Alcotest.(check bool) "posted thunk ran" true
+        (Clock.run c ~cond:(fun () -> !ran) ~step:1.0))
+
 let test_schedule_from_callback impl () =
   impl.with_clock (fun c ->
       let chain = ref 0 in
@@ -181,6 +191,7 @@ let cases impl =
       tc "cancel self in callback" test_cancel_self_from_callback;
       tc "cancel due peer in callback" test_cancel_peer_from_callback;
       tc "post reentrancy" test_post_reentrancy;
+      tc "post from timer" test_post_from_timer;
       tc "reschedule from callback" test_schedule_from_callback ])
 
 let () = Alcotest.run "bgp_clock" [ cases sim_impl; cases live_impl ]

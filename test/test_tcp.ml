@@ -1,79 +1,83 @@
-(* Real-socket interop: two BGP endpoints over loopback TCP in one
-   process, driven by the select loop. *)
+(* Real-socket interop: two BGP sessions over loopback Tcp_link
+   endpoints in one process, driven by the select loop. *)
 
 module Fsm = Bgp_fsm.Fsm
 module Session = Bgp_fsm.Session
 module Msg = Bgp_wire.Msg
 
+module Loop = Bgp_tcp.Event_loop
+module Tcp_link = Bgp_tcp.Tcp_link
+
 let ip = Bgp_addr.Ipv4.of_string_exn
 let asn = Bgp_route.Asn.of_int
-let port_base = 42100 + (Unix.getpid () mod 500)
 
 let attrs =
   Bgp_route.Attrs.make
     ~as_path:(Bgp_route.As_path.of_asns [ asn 65001; asn 7018 ])
     ~next_hop:(ip "127.0.0.1") ()
 
+(* A started session over a Tcp_link endpoint: transport events drive
+   the FSM, which drives the socket back through the link. *)
+let session_over loop (e : Tcp_link.endpoint) ~active ~asn:a ~id hooks =
+  let cfg =
+    { (Fsm.default_config ~asn:(asn a) ~router_id:(ip id)) with
+      Fsm.passive = not active }
+  in
+  let s = Session.of_link cfg (Loop.timer_service loop) e.link hooks in
+  Session.start s;
+  s
+
 let test_loopback_session () =
-  let loop = Bgp_tcp.Event_loop.create () in
-  let port = port_base in
+  let loop = Loop.create () in
   let received = ref 0 in
   let listener_hooks =
     { Session.null_hooks with
       Session.on_update =
         (fun u -> received := !received + List.length u.Msg.nlri) }
   in
+  let l = Tcp_link.listen loop ~port:0 in
+  let c = Tcp_link.connect loop ~port:l.Tcp_link.port in
   let listener =
-    Bgp_tcp.Endpoint.listen loop ~port
-      ~cfg:(Fsm.default_config ~asn:(asn 65000) ~router_id:(ip "10.0.0.1"))
-      ~hooks:listener_hooks
+    session_over loop l ~active:false ~asn:65000 ~id:"10.0.0.1" listener_hooks
   in
   let connector =
-    Bgp_tcp.Endpoint.connect loop ~port
-      ~cfg:(Fsm.default_config ~asn:(asn 65001) ~router_id:(ip "10.0.0.2"))
-      ~hooks:Session.null_hooks
+    session_over loop c ~active:true ~asn:65001 ~id:"10.0.0.2" Session.null_hooks
   in
-  Bgp_tcp.Endpoint.start listener;
-  Bgp_tcp.Endpoint.start connector;
   let both_up () =
-    Bgp_tcp.Endpoint.state listener = Fsm.Established
-    && Bgp_tcp.Endpoint.state connector = Fsm.Established
+    Session.state listener = Fsm.Established
+    && Session.state connector = Fsm.Established
   in
-  if not (Bgp_tcp.Event_loop.run loop ~until:both_up ~timeout:10.0) then
+  if not (Loop.run loop ~until:both_up ~timeout:10.0) then
     Alcotest.failf "sessions did not establish (listener %s, connector %s)"
-      (Fsm.state_name (Bgp_tcp.Endpoint.state listener))
-      (Fsm.state_name (Bgp_tcp.Endpoint.state connector));
+      (Fsm.state_name (Session.state listener))
+      (Fsm.state_name (Session.state connector));
   (* push 1000 prefixes in 10 large updates over the real socket *)
   let table = Bgp_addr.Prefix_gen.table ~seed:3 ~n:1000 () in
   List.iter
-    (fun chunk -> ignore (Bgp_tcp.Endpoint.send connector (Msg.announcement attrs chunk)))
+    (fun chunk -> ignore (Session.send connector (Msg.announcement attrs chunk)))
     (Bgp_speaker.Workload.chunk 100 table);
   let all_received () = !received = 1000 in
-  if not (Bgp_tcp.Event_loop.run loop ~until:all_received ~timeout:10.0) then
+  if not (Loop.run loop ~until:all_received ~timeout:10.0) then
     Alcotest.failf "only %d/1000 prefixes received" !received;
-  Bgp_tcp.Endpoint.close connector;
-  Bgp_tcp.Endpoint.close listener
+  c.Tcp_link.dispose ();
+  l.Tcp_link.dispose ()
 
 let test_notification_on_garbage () =
-  let loop = Bgp_tcp.Event_loop.create () in
-  let port = port_base + 1 in
+  let loop = Loop.create () in
   let down_reason = ref "" in
+  let l = Tcp_link.listen loop ~port:0 in
   let listener =
-    Bgp_tcp.Endpoint.listen loop ~port
-      ~cfg:(Fsm.default_config ~asn:(asn 65000) ~router_id:(ip "10.0.0.1"))
-      ~hooks:
-        { Session.null_hooks with
-          Session.on_down = (fun r -> down_reason := r) }
+    session_over loop l ~active:false ~asn:65000 ~id:"10.0.0.1"
+      { Session.null_hooks with Session.on_down = (fun r -> down_reason := r) }
   in
-  Bgp_tcp.Endpoint.start listener;
   (* A raw TCP client that talks garbage instead of BGP. *)
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  let connected () = Bgp_tcp.Endpoint.state listener <> Fsm.Active in
-  ignore (Bgp_tcp.Event_loop.run loop ~until:connected ~timeout:5.0);
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, l.Tcp_link.port));
+  let connected () = Session.state listener <> Fsm.Active in
+  ignore (Loop.run loop ~until:connected ~timeout:5.0);
   ignore (Unix.write fd (Bytes.make 32 '\x00') 0 32);
-  let is_down () = Bgp_tcp.Endpoint.state listener = Fsm.Idle in
-  if not (Bgp_tcp.Event_loop.run loop ~until:is_down ~timeout:5.0) then
+  let is_down () = Session.state listener = Fsm.Idle in
+  if not (Loop.run loop ~until:is_down ~timeout:5.0) then
     Alcotest.fail "listener should reset on garbage";
   (* The listener sent us its OPEN first, then a NOTIFICATION for the
      garbage: walk the messages and confirm the last one is type 3. *)
@@ -101,7 +105,7 @@ let test_notification_on_garbage () =
   | Some ty -> Alcotest.(check int) "last message is NOTIFICATION" 3 ty
   | None -> Alcotest.fail "no reply messages captured");
   Unix.close fd;
-  Bgp_tcp.Endpoint.close listener;
+  l.Tcp_link.dispose ();
   Alcotest.(check bool) "reason recorded" true (!down_reason <> "")
 
 (* ------------------------------------------------------------------ *)
